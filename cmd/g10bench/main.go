@@ -2,7 +2,8 @@
 // tables: the §3 characterisation (Figures 2–4), the §7 performance study
 // (Figures 11–19), the §7.7 SSD-lifetime analysis, and the cluster-engine
 // studies — the §6 multi-GPU grid (true co-simulation vs the legacy static
-// bandwidth split) and the heterogeneous co-location study.
+// bandwidth split), the heterogeneous co-location study, and further
+// cluster-engine studies; -h lists every figure name.
 //
 // Examples:
 //
@@ -60,6 +61,16 @@ var figures = []struct {
 	{"maxminfill", wrap(experiments.MaxMinFill)},
 	{"inference", wrap(experiments.Inference)},
 	{"faults", wrap(experiments.Faults)},
+}
+
+// figureNames lists every -fig value in table order, so the flag's help
+// cannot drift from the table.
+func figureNames() string {
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
+	return strings.Join(names, ",")
 }
 
 func wrap[T any](f func(*experiments.Session) ([]T, error)) func(*experiments.Session) error {
@@ -287,7 +298,7 @@ func runGate(cur benchReport, baselinePath, outPath string, tolerance float64) e
 
 func main() {
 	var (
-		fig        = flag.String("fig", "11", "figure to regenerate: 2,3,4,11..19,lifetime,multigpu,colocate,fleet,adapt,scaling,maxminfill, or 'all'")
+		fig        = flag.String("fig", "11", "figure to regenerate: "+figureNames()+", or 'all'")
 		bench      = flag.Bool("bench", false, "run the headline benchmark figures ("+headlineFigures+") once each, with a machine-speed calibration, and emit the timing JSON the CI gate consumes (see -json/-gate)")
 		short      = flag.Bool("short", false, "shrunken workloads for a fast pass")
 		models     = flag.String("models", "", "comma-separated model subset (default: all five)")

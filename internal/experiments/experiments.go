@@ -120,7 +120,6 @@ type Session struct {
 	results   map[string]*flight[gpu.Result]
 	clusters  map[string]*flight[gpu.ClusterResult]
 	inference map[string]*flight[inferenceCell]
-	programs  map[programKey]*flight[*planner.Program]
 	// engine accumulates engine-internal work counters over every cluster
 	// the session actually ran (cache hits add nothing: the work happened
 	// once). Guarded by mu.
@@ -135,74 +134,7 @@ func NewSession(opt Options) *Session {
 		results:   make(map[string]*flight[gpu.Result]),
 		clusters:  make(map[string]*flight[gpu.ClusterResult]),
 		inference: make(map[string]*flight[inferenceCell]),
-		programs:  make(map[programKey]*flight[*planner.Program]),
 	}
-}
-
-// programKey identifies one planner run: the analysis (cached per
-// model/batch, so pointer identity is stable within a session), the
-// effective machine configuration the program was planned against, and the
-// policy variant.
-type programKey struct {
-	a   *vitality.Analysis
-	cfg gpu.Config
-	pol string
-}
-
-// cachedProgramPolicy wraps a planning policy (a G10 variant) so its
-// instrumented program is computed once per (analysis, config, policy)
-// across a whole cluster — a 64-tenant fleet cell re-plans each distinct
-// job once instead of once per tenant, and identical jobs across cluster
-// configurations share the warm program. The planner is deterministic, so
-// the shared *planner.Program is bit-identical to a per-tenant build; it is
-// read-only during simulation.
-type cachedProgramPolicy struct {
-	gpu.Policy
-	s *Session
-}
-
-func (c *cachedProgramPolicy) Program(a *vitality.Analysis, cfg gpu.Config) *planner.Program {
-	pb := c.Policy.(gpu.ProgramBuilder)
-	key := programKey{a: a, cfg: cfg, pol: c.Policy.Name()}
-	s := c.s
-	s.mu.Lock()
-	f, ok := s.programs[key]
-	if !ok {
-		f = &flight[*planner.Program]{}
-		s.programs[key] = f
-	}
-	s.mu.Unlock()
-	p, _ := f.do(func() (*planner.Program, error) { return pb.Program(a, cfg), nil })
-	return p
-}
-
-// cachedReplanPolicy additionally forwards the Replanner hook the wrapped
-// adaptive policy implements (the per-tenant controller state stays with
-// the wrapped instance; only the initial plan is shared).
-type cachedReplanPolicy struct {
-	cachedProgramPolicy
-	rp gpu.Replanner
-}
-
-func (c *cachedReplanPolicy) NextProgram(iter int, sig gpu.LatenessSignal, cur *planner.Program) *planner.Program {
-	return c.rp.NextProgram(iter, sig, cur)
-}
-
-// clusterPolicy builds a fresh per-tenant policy instance whose planner
-// output is shared through the session's program cache.
-func (s *Session) clusterPolicy(name string) (gpu.Policy, error) {
-	pol, err := NewPolicy(name)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := pol.(gpu.ProgramBuilder); ok {
-		cp := cachedProgramPolicy{Policy: pol, s: s}
-		if rp, ok := pol.(gpu.Replanner); ok {
-			return &cachedReplanPolicy{cachedProgramPolicy: cp, rp: rp}, nil
-		}
-		return &cp, nil
-	}
-	return pol, nil
 }
 
 // batchFor reports the evaluation batch size for a model under the

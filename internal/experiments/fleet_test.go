@@ -94,7 +94,7 @@ func TestEventDriverMatchesPollingEveryModelPolicy(t *testing.T) {
 					var p gpu.ClusterParams
 					p.Shared = shared
 					for i := 0; i < 2; i++ {
-						pol, err := s.clusterPolicy(polName)
+						pol, err := NewPolicy(polName)
 						if err != nil {
 							return gpu.ClusterParams{}, err
 						}

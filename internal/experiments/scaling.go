@@ -42,7 +42,7 @@ type ScalingRow struct {
 // Scaling runs the cluster-engine scaling study. It bypasses the session's
 // cluster cache so the step counter is attributed to exactly one run per
 // size; the trace and jobs are shared with the fleet study through the
-// session's analysis and program caches.
+// session's analysis cache and the plans memoized on each analysis.
 func Scaling(s *Session) ([]ScalingRow, error) {
 	w := s.opt.writer()
 	fmt.Fprintln(w, "=== Scaling study: cluster engine cost vs fleet size ===")

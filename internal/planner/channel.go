@@ -16,8 +16,13 @@ type channel struct {
 	starts []units.Time // kernel boundaries; starts[n] = iteration total
 	free   []float64    // free seconds remaining per slot
 	span   []float64    // slot lengths in seconds
-	bw     float64      // bytes/sec
-	total  units.Time
+	// live[k] == k for a slot with free time. A drained slot points at a
+	// later slot no further than the next live one (len(free) when none);
+	// nextLive follows and compresses these chains. Bookings only ever
+	// drain slots, so forward walks can jump over drained runs.
+	live  []int
+	bw    float64 // bytes/sec
+	total units.Time
 	// scratch holds the pending draws of one schedule call; reused across
 	// calls to keep the (very frequent) previews allocation-free.
 	scratch []draw
@@ -36,14 +41,44 @@ func newChannel(name string, starts []units.Time, bw units.Bandwidth) *channel {
 		starts: starts,
 		free:   make([]float64, n),
 		span:   make([]float64, n),
+		live:   make([]int, n+1),
 		bw:     float64(bw),
 		total:  starts[n],
 	}
 	for k := 0; k < n; k++ {
 		c.span[k] = (starts[k+1] - starts[k]).Seconds()
 		c.free[k] = c.span[k]
+		c.live[k] = k
+		if c.free[k] == 0 {
+			c.live[k] = k + 1 // zero-length slot
+		}
 	}
+	c.live[n] = n
 	return c
+}
+
+// nextLive reports the first slot at or after k with free time, or
+// c.slots() when every later slot is drained.
+func (c *channel) nextLive(k int) int {
+	r := k
+	for c.live[r] != r {
+		r = c.live[r]
+	}
+	for c.live[k] != r {
+		c.live[k], k = r, c.live[k]
+	}
+	return r
+}
+
+// book consumes the draws of a placed transfer, marking drained slots.
+func (c *channel) book(draws []draw) {
+	for _, d := range draws {
+		c.free[d.slot] -= d.amt
+		if c.free[d.slot] <= 0 {
+			c.free[d.slot] = 0
+			c.live[d.slot] = d.slot + 1
+		}
+	}
 }
 
 func (c *channel) slots() int { return len(c.free) }
@@ -117,6 +152,17 @@ func (c *channel) scheduleForward(t units.Time, n units.Bytes, commit bool) (uni
 	pos := t
 	for step := 0; step < 2*nslots; step++ {
 		idx := k % nslots
+		if c.free[idx] == 0 {
+			// A drained slot offers nothing: jump to the next live one (or
+			// the next lap's start), counting every skipped slot as a step
+			// and leaving pos at the end of the last, as a slot-by-slot
+			// walk would.
+			skip := c.nextLive(idx) - idx
+			step += skip - 1
+			k += skip
+			pos = c.starts[(k-1)%nslots+1] + units.Time((k-1)/nslots)*c.total
+			continue
+		}
 		lap := units.Time(k/nslots) * c.total
 		slotEnd := c.starts[idx+1] + lap
 		avail := c.freeAfter(idx, pos-lap)
@@ -132,12 +178,7 @@ func (c *channel) scheduleForward(t units.Time, n units.Bytes, commit bool) (uni
 			}
 			draws = append(draws, draw{idx, need})
 			if commit {
-				for _, d := range draws {
-					c.free[d.slot] -= d.amt
-					if c.free[d.slot] < 0 {
-						c.free[d.slot] = 0
-					}
-				}
+				c.book(draws)
 			}
 			return done, true
 		}
@@ -190,12 +231,7 @@ func (c *channel) scheduleBackward(deadline units.Time, n units.Bytes, commit bo
 			}
 			draws = append(draws, draw{idx, need})
 			if commit {
-				for _, d := range draws {
-					c.free[d.slot] -= d.amt
-					if c.free[d.slot] < 0 {
-						c.free[d.slot] = 0
-					}
-				}
+				c.book(draws)
 			}
 			return start, true
 		}

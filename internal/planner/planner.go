@@ -124,11 +124,11 @@ type planner struct {
 	// Derived indexes over the eviction-phase state (see DESIGN.md §4):
 	// slotSec caches slot durations in seconds; excess marks slots whose
 	// pressure exceeds GPU capacity (the only slots that contribute to a
-	// candidate's benefit integral); presTree/hostTree maintain range
-	// maxima over pressure and hostUsed.
+	// candidate's benefit integral) and nExcess counts them; hostTree
+	// maintains range maxima over hostUsed.
 	slotSec  []float64
 	excess   bitset
-	presTree *maxTree
+	nExcess  int
 	hostTree *maxTree
 
 	ssdWrite, ssdRead   *channel
@@ -139,20 +139,6 @@ type planner struct {
 	// the eager-rescheduling walk (parallel to decisions); the online
 	// re-timing layer anchors on it.
 	prefetchSlots []int
-
-	// areaCache memoizes excessArea by its full argument tuple between
-	// pressure mutations: the lazy-greedy heap re-evaluates many candidates
-	// whose free window and size are unchanged since the last commit, and
-	// each repeat is the identical integral (same slots, same order, same
-	// floats) — a hit returns the previously accumulated value, so plans
-	// cannot change. Every writer of pressure/excess flushes it.
-	areaCache map[areaKey]float64
-}
-
-// areaKey identifies one excessArea query within a planning pass.
-type areaKey struct {
-	from, to units.Time
-	size     float64
 }
 
 // New runs the full scheduling pipeline and returns the plan.
@@ -180,9 +166,9 @@ func New(a *vitality.Analysis, cfg Config) *Plan {
 	for k := 0; k < n; k++ {
 		if pl.pressure[k]-capBytes > 0 {
 			pl.excess.set(k)
+			pl.nExcess++
 		}
 	}
-	pl.presTree = newMaxTree(pl.pressure)
 	pl.hostTree = newMaxTree(pl.hostUsed)
 	pl.ssdWrite = newChannel("ssd-write", a.Starts, cfg.SSDWriteBW)
 	pl.ssdRead = newChannel("ssd-read", a.Starts, cfg.SSDReadBW)
@@ -227,11 +213,30 @@ func New(a *vitality.Analysis, cfg Config) *Plan {
 	return plan
 }
 
+// Shared returns the plan for (a, cfg), planning once per analysis and
+// effective configuration: callers whose configs agree after defaults get
+// the same *Plan, which they must treat as read-only. New stays uncached.
+func Shared(a *vitality.Analysis, cfg Config) *Plan {
+	cfg = cfg.withDefaults()
+	return a.Memo(sharedKey(cfg), func() any { return New(a, cfg) }).(*Plan)
+}
+
+// sharedKey is the analysis memo key of a Shared plan.
+type sharedKey Config
+
 // ---- Phase 1: smart tensor eviction (Algorithm 1) ----
 
-// candidate is a heap entry for the lazy-greedy search. Benefits only
-// decrease as pressure drops, so a popped candidate whose recomputed ratio
-// still dominates the next entry is the true argmax.
+// candidate is a heap entry for the lazy-greedy (CELF) search: a popped
+// candidate is re-scored and committed if its fresh ratio still dominates
+// the next entry's stored one, else reinserted. That pick is the true
+// argmax only while stored ratios never underestimate. A commit lowers
+// pressure, which only shrinks benefits, but it also books channel time:
+// once the SSD write channel counts as full (or the SSD round trip no
+// longer fits the period) a candidate's destination flips to host, whose
+// round trip costs about 5x less, and its ratio can rise. On the paper
+// models with the host destination on, 1–6% of re-scored pops rose; with
+// it off (G10-GDS) none did. The plan is this lazy search's output, which
+// the plan digest and figure goldens pin, not an eager greedy's.
 type candidate struct {
 	period *vitality.Period
 	ratio  float64 // benefit/cost at last evaluation
@@ -247,12 +252,10 @@ func (h *candHeap) Pop() any          { old := *h; c := old[len(old)-1]; *h = ol
 func (h candHeap) peekRatio() float64 { return h[0].ratio }
 
 func (pl *planner) scheduleEvictions() {
-	cap := float64(pl.cfg.GPUCapacity)
-
 	h := &candHeap{}
 	for i := range pl.a.Periods {
 		p := &pl.a.Periods[i]
-		ratio := pl.evalRatio(p)
+		ratio, _ := pl.evalRatio(p)
 		if ratio > 0 {
 			*h = append(*h, candidate{period: p, ratio: ratio})
 		}
@@ -260,11 +263,11 @@ func (pl *planner) scheduleEvictions() {
 	heap.Init(h)
 
 	for len(*h) > 0 && len(pl.decisions) < pl.cfg.MaxDecisions {
-		if pl.maxExcess(cap) <= 0 {
+		if pl.nExcess == 0 {
 			break // Algorithm 1 line 3: pressure fits — done.
 		}
 		c := heap.Pop(h).(candidate)
-		ratio := pl.evalRatio(c.period)
+		ratio, ev := pl.evalRatio(c.period)
 		if ratio <= 0 {
 			continue // no longer beneficial; drop (benefit is monotone).
 		}
@@ -273,15 +276,8 @@ func (pl *planner) scheduleEvictions() {
 			heap.Push(h, candidate{period: c.period, ratio: ratio})
 			continue
 		}
-		pl.commit(c.period)
+		pl.commit(c.period, ev)
 	}
-}
-
-// maxExcess reports the largest pressure overshoot in bytes. Subtracting
-// the capacity is monotone under float64 rounding, so the maximum of
-// (pressure - cap) is the (maintained) maximum pressure minus cap.
-func (pl *planner) maxExcess(cap float64) float64 {
-	return pl.presTree.rootMax() - cap
 }
 
 // evictCost is Algorithm 1's candidate cost: eviction plus prefetch latency
@@ -293,50 +289,59 @@ func (pl *planner) evictCost(size units.Bytes, target uvm.Location) float64 {
 	return float64(size)/float64(pl.cfg.HostWriteBW) + float64(size)/float64(pl.cfg.HostReadBW)
 }
 
+// eviction is a candidate's chosen destination and the window during which
+// evicting it would leave GPU memory free.
+type eviction struct {
+	target   uvm.Location
+	from, to units.Time
+}
+
 // chooseTarget applies Algorithm 1's destination policy (lines 7–17): evict
 // to the SSD unless its write channel is full over the eviction window and
 // the host has room — and fall back to whichever destination is feasible
 // when only one can complete the round trip inside the period.
-func (pl *planner) chooseTarget(p *vitality.Period) (target uvm.Location, from, to units.Time, ok bool) {
+func (pl *planner) chooseTarget(p *vitality.Period) (ev eviction, ok bool) {
 	size := p.Tensor.Size
-	var sFrom, sTo, hFrom, hTo units.Time
+	var ssd, host eviction
 	ssdOK, hostOK := false, false
 	if pl.cfg.UseSSD {
-		sFrom, sTo, ssdOK = pl.freeWindow(p, uvm.InFlash)
+		ssd = eviction{target: uvm.InFlash}
+		ssd.from, ssd.to, ssdOK = pl.freeWindow(p, uvm.InFlash)
 	}
 	if pl.cfg.UseHost && pl.hostFits(p, size) {
-		hFrom, hTo, hostOK = pl.freeWindow(p, uvm.InHost)
+		host = eviction{target: uvm.InHost}
+		host.from, host.to, hostOK = pl.freeWindow(p, uvm.InHost)
 	}
 	switch {
 	case ssdOK && hostOK:
 		ts := units.TransferTime(size, pl.cfg.SSDWriteBW)
-		ssdFull := pl.ssdWrite.busyFrac(p.Start, p.Start+ts) >= pl.cfg.SSDFullThreshold
-		if ssdFull {
-			return uvm.InHost, hFrom, hTo, true
+		if pl.ssdWrite.busyFrac(p.Start, p.Start+ts) >= pl.cfg.SSDFullThreshold {
+			return host, true
 		}
-		return uvm.InFlash, sFrom, sTo, true
+		return ssd, true
 	case ssdOK:
-		return uvm.InFlash, sFrom, sTo, true
+		return ssd, true
 	case hostOK:
-		return uvm.InHost, hFrom, hTo, true
+		return host, true
 	default:
-		return uvm.Unmapped, 0, 0, false
+		return eviction{}, false
 	}
 }
 
 // evalRatio computes the candidate's current benefit/cost: the pressure-
 // above-capacity area the eviction removes (Figure 7's shaded area) divided
-// by the I/O time it occupies.
-func (pl *planner) evalRatio(p *vitality.Period) float64 {
-	target, from, to, ok := pl.chooseTarget(p)
+// by the I/O time it occupies. It also returns the evaluated eviction, which
+// commit applies unchanged when nothing has been booked since.
+func (pl *planner) evalRatio(p *vitality.Period) (float64, eviction) {
+	ev, ok := pl.chooseTarget(p)
 	if !ok {
-		return 0
+		return 0, ev
 	}
-	cost := pl.evictCost(p.Tensor.Size, target)
+	cost := pl.evictCost(p.Tensor.Size, ev.target)
 	if cost <= 0 {
-		return 0
+		return 0, ev
 	}
-	return pl.excessArea(from, to, float64(p.Tensor.Size)) / cost
+	return pl.excessArea(ev.from, ev.to, float64(p.Tensor.Size)) / cost, ev
 }
 
 // freeWindow previews the interval during which the eviction would leave
@@ -365,10 +370,6 @@ func (pl *planner) freeWindow(p *vitality.Period, target uvm.Location) (from, to
 // order (ascending global slot) with the same per-slot arithmetic as a full
 // scan, so the float accumulation is identical.
 func (pl *planner) excessArea(from, to units.Time, size float64) float64 {
-	key := areaKey{from: from, to: to, size: size}
-	if v, ok := pl.areaCache[key]; ok {
-		return v
-	}
 	cap := float64(pl.cfg.GPUCapacity)
 	var area float64
 	g0, gEnd := pl.fullSlotSpan(from, to)
@@ -406,24 +407,16 @@ func (pl *planner) excessArea(from, to units.Time, size float64) float64 {
 		}
 		gs += int64(span)
 	}
-	if pl.areaCache == nil {
-		pl.areaCache = make(map[areaKey]float64, 64)
-	}
-	pl.areaCache[key] = area
 	return area
 }
 
-// commit applies Algorithm 1's lines 6–17 for the selected period: pick the
-// destination, book the eviction on its channel, and update pressure and
+// commit applies Algorithm 1's lines 6–17 for the selected period: book the
+// eviction evalRatio chose (ev) on its channel, and update pressure and
 // host-occupancy state.
-func (pl *planner) commit(p *vitality.Period) {
+func (pl *planner) commit(p *vitality.Period, ev eviction) {
 	size := p.Tensor.Size
-	target, from, to, ok := pl.chooseTarget(p)
-	if !ok {
-		return
-	}
 	wch := pl.ssdWrite
-	if target == uvm.InHost {
+	if ev.target == uvm.InHost {
 		wch = pl.hostWrite
 	}
 	done, ok := wch.scheduleForward(p.Start, size, true)
@@ -432,11 +425,11 @@ func (pl *planner) commit(p *vitality.Period) {
 	}
 
 	// Reduce pressure over the free window, keeping the over-capacity
-	// bitset and pressure max-tree in sync. Pressure changes invalidate
-	// every memoized benefit integral.
-	clear(pl.areaCache)
+	// bitset and its count in sync. Pressure only falls here, and
+	// subtracting the capacity is monotone under float64 rounding, so a
+	// slot can leave the excess set but never join it.
 	capBytes := float64(pl.cfg.GPUCapacity)
-	g0, gEnd := pl.fullSlotSpan(from, to)
+	g0, gEnd := pl.fullSlotSpan(ev.from, ev.to)
 	n64 := int64(pl.n)
 	for gs := g0; gs < gEnd; {
 		kStart := int(gs % n64)
@@ -446,17 +439,15 @@ func (pl *planner) commit(p *vitality.Period) {
 		}
 		for k := kStart; k < kStart+span; k++ {
 			pl.pressure[k] -= float64(size)
-			if pl.pressure[k]-capBytes > 0 {
-				pl.excess.set(k)
-			} else {
+			if pl.excess.has(k) && pl.pressure[k]-capBytes <= 0 {
 				pl.excess.clear(k)
+				pl.nExcess--
 			}
 		}
-		pl.presTree.update(kStart, kStart+span)
 		gs += int64(span)
 	}
 	// Host occupancy covers the whole period.
-	if target == uvm.InHost {
+	if ev.target == uvm.InHost {
 		pl.eachTouchedWindow(p.Start, p.End, func(k0, kEnd int) {
 			for k := k0; k < kEnd; k++ {
 				pl.hostUsed[k] += float64(size)
@@ -467,7 +458,7 @@ func (pl *planner) commit(p *vitality.Period) {
 
 	pl.decisions = append(pl.decisions, Decision{
 		Period:        p,
-		Target:        target,
+		Target:        ev.target,
 		EvictBoundary: p.AfterKernel + 1,
 		EvictStart:    p.Start,
 		EvictDone:     done,
@@ -569,7 +560,6 @@ func (pl *planner) schedulePrefetches() {
 		}
 		// The tensor re-occupies memory from the issue slot to the latest
 		// slot (it was counted from the latest slot onwards already).
-		clear(pl.areaCache)
 		for g := b; g < bLatest; g++ {
 			k := (g%pl.n + pl.n) % pl.n
 			pl.pressure[k] += float64(size)

@@ -9,10 +9,10 @@ import (
 
 // maxTree is an iterative segment tree maintaining range maxima over a
 // float64 slice whose elements are updated in place. It lets the scheduler
-// answer "is any slot over capacity?" (maxExcess) and "does the tensor fit
-// in host memory across this window?" (hostFits) in O(log n) instead of
-// scanning every slot, while the underlying per-slot float arithmetic —
-// and therefore every rounding decision — stays exactly as before.
+// answer "does the tensor fit in host memory across this window?"
+// (hostFits) in O(log n) instead of scanning every slot, while the
+// underlying per-slot float arithmetic — and therefore every rounding
+// decision — stays exactly as before.
 type maxTree struct {
 	base int
 	t    []float64
@@ -52,9 +52,6 @@ func (m *maxTree) update(a, b int) {
 	}
 }
 
-// rootMax reports the maximum over all elements.
-func (m *maxTree) rootMax() float64 { return m.t[1] }
-
 // queryMax reports the maximum over [a, b); -Inf when empty.
 func (m *maxTree) queryMax(a, b int) float64 {
 	out := math.Inf(-1)
@@ -80,8 +77,9 @@ type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
-func (b bitset) set(i int)   { b[i>>6] |= 1 << (uint(i) & 63) }
-func (b bitset) clear(i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
+func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 // fullSlotSpan reports the global-slot interval [g0, gEnd) that
 // forEachFullSlot(from, to) visits: slot g (lap g/n, kernel g%n) is visited

@@ -247,7 +247,9 @@ func (p *g10) AtBoundary(iter, b int) {
 }
 
 // Program runs the smart migration scheduler (Algorithm 1 + §4.4) over the
-// analysis and returns the instrumented program.
+// analysis and returns the instrumented program. The plan is shared by
+// every policy instance planning the same analysis under the same
+// effective planner config (G10 and G10-Host, or a fleet's tenants).
 func (p *g10) Program(a *vitality.Analysis, cfg gpu.Config) *planner.Program {
 	pcfg := p.plannerCfg
 	if pcfg.GPUCapacity == 0 {
@@ -268,7 +270,7 @@ func (p *g10) Program(a *vitality.Analysis, cfg gpu.Config) *planner.Program {
 	if pcfg.HostReadBW == 0 {
 		pcfg.HostReadBW = cfg.PCIeBandwidth
 	}
-	p.plan = planner.New(a, pcfg)
+	p.plan = planner.Shared(a, pcfg)
 	return p.plan.Program
 }
 

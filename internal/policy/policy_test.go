@@ -176,6 +176,39 @@ func TestG10PlanAccessor(t *testing.T) {
 	}
 }
 
+// TestG10VariantsSharePlans checks plan sharing through Program: G10 and
+// G10-Host plan under the same effective config and so share one plan (and
+// program); G10-GDS, or another GPU capacity, plans on its own.
+func TestG10VariantsSharePlans(t *testing.T) {
+	a, cfg := pressured(t)
+	plan := func(pol gpu.Policy, cfg gpu.Config) *planner.Plan {
+		prog := pol.(gpu.ProgramBuilder).Program(a, cfg)
+		p := pol.(Planner).Plan()
+		if p.Program != prog {
+			t.Fatalf("%s: Program is not its plan's program", pol.Name())
+		}
+		return p
+	}
+	full := plan(G10Full(planner.Config{}), cfg)
+	if len(full.Decisions) == 0 {
+		t.Fatal("no decisions under pressure")
+	}
+	if plan(G10Host(planner.Config{}), cfg) != full {
+		t.Error("G10-Host did not share G10's plan")
+	}
+	if plan(G10Adaptive(planner.Config{}, adapt.Config{}), cfg) != full {
+		t.Error("adaptive G10 did not share G10's plan")
+	}
+	if plan(G10GDS(planner.Config{}), cfg) == full {
+		t.Error("G10-GDS shares G10's plan")
+	}
+	smaller := cfg
+	smaller.GPUCapacity -= units.MB
+	if plan(G10Full(planner.Config{}), smaller) == full {
+		t.Error("a smaller GPU shares the plan")
+	}
+}
+
 func TestIdealConfig(t *testing.T) {
 	cfg := IdealConfig(testCfg(units.GB, units.GB))
 	if cfg.GPUCapacity != 1<<60 {

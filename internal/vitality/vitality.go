@@ -17,6 +17,7 @@ package vitality
 
 import (
 	"fmt"
+	"sync"
 
 	"g10sim/internal/dnn"
 	"g10sim/internal/profile"
@@ -78,6 +79,19 @@ type Analysis struct {
 	// AliveBytes[k] is the memory pressure at kernel k with no migrations:
 	// the total size of all tensors alive during k.
 	AliveBytes []units.Bytes
+
+	// memo holds values derived from the analysis (see Memo).
+	memo sync.Map
+}
+
+// Memo returns the value derived from the analysis under key, calling build
+// on first use only. Concurrent callers of one key wait for a single build,
+// and the value lives exactly as long as the analysis. key must be
+// comparable; a caller should key by a type of its own so that packages do
+// not collide.
+func (a *Analysis) Memo(key any, build func() any) any {
+	f, _ := a.memo.LoadOrStore(key, sync.OnceValue(build))
+	return f.(func() any)()
 }
 
 // Analyze runs tensor vitality analysis.

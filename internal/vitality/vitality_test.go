@@ -1,6 +1,8 @@
 package vitality
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -307,5 +309,38 @@ func TestPeriodsOnRandomChains(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestMemoBuildsOncePerKey(t *testing.T) {
+	g, tr := chain(t)
+	a := MustAnalyze(g, tr)
+	type key struct{ n int }
+	var builds atomic.Int32
+	build := func() any { builds.Add(1); return new(int) }
+	const callers = 16
+	got := make([]any, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = a.Memo(key{1}, build)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] != got[0] {
+			t.Fatalf("caller %d got a different value", i)
+		}
+	}
+	if n := builds.Load(); n != 1 {
+		t.Errorf("%d builds for one key, want 1", n)
+	}
+	if a.Memo(key{2}, build) == got[0] || builds.Load() != 2 {
+		t.Error("a second key reused the first key's value")
+	}
+	if MustAnalyze(g, tr).Memo(key{1}, build) == got[0] {
+		t.Error("a second analysis reused the first one's value")
 	}
 }
