@@ -18,6 +18,7 @@ package g10sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"g10sim/internal/adapt"
@@ -448,7 +449,8 @@ type InferenceRequest struct {
 
 // InferenceConfig sizes the serving cluster. Zero values take the engine
 // defaults (four servers, 2048-block GPU KV pools, 512-block host tier,
-// 16-token 2 MiB blocks).
+// 16-token 2 MiB blocks); negative sizes and a non-finite BlockMB are
+// rejected.
 type InferenceConfig struct {
 	Servers     int
 	GPUBlocks   int // per-server KV block pool
@@ -503,6 +505,9 @@ type InferenceReport struct {
 // pressure resolves by preemption (single-tier) or by swapping cold KV over
 // the tier edge to host DRAM (Tiered).
 func SimulateInference(reqs []InferenceRequest, cfg InferenceConfig) (InferenceReport, error) {
+	if cfg.BlockMB < 0 || math.IsNaN(cfg.BlockMB) || math.IsInf(cfg.BlockMB, 0) {
+		return InferenceReport{}, fmt.Errorf("g10sim: inference BlockMB %v is not a finite non-negative size", cfg.BlockMB)
+	}
 	specs := make([]gpu.RequestSpec, len(reqs))
 	for i, rq := range reqs {
 		specs[i] = gpu.RequestSpec{

@@ -2,6 +2,7 @@ package g10sim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -284,6 +285,46 @@ func TestSimulateClusterRejectsBadInput(t *testing.T) {
 	}
 	if _, err := SimulateCluster([]ClusterJob{{Policy: "G10"}}, ClusterConfig{Config: DefaultConfig()}); err == nil {
 		t.Error("nil workload accepted")
+	}
+}
+
+// TestSimulateInferenceRejectsBadInput asserts that every malformed serving
+// configuration returns an error instead of panicking or silently producing
+// a report, and that zero sizes still mean "default".
+func TestSimulateInferenceRejectsBadInput(t *testing.T) {
+	reqs := []InferenceRequest{
+		{PromptTokens: 64, OutputTokens: 16},
+		{ArrivalSeconds: 0.01, PromptTokens: 32, OutputTokens: 8},
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  InferenceConfig
+	}{
+		{"negative servers", InferenceConfig{Servers: -1}},
+		{"negative GPU blocks", InferenceConfig{GPUBlocks: -1}},
+		{"negative host blocks", InferenceConfig{HostBlocks: -8}},
+		{"negative block tokens", InferenceConfig{BlockTokens: -16}},
+		{"negative block MB", InferenceConfig{BlockMB: -2}},
+		{"NaN block MB", InferenceConfig{BlockMB: math.NaN()}},
+		{"+Inf block MB", InferenceConfig{BlockMB: math.Inf(1)}},
+		{"-Inf block MB", InferenceConfig{BlockMB: math.Inf(-1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if rep, err := SimulateInference(reqs, tc.cfg); err == nil {
+				t.Errorf("accepted; report makespan %.4fs", rep.MakespanSeconds)
+			}
+		})
+	}
+	if _, err := SimulateInference(reqs, InferenceConfig{}); err != nil {
+		t.Errorf("zero config (all defaults) rejected: %v", err)
+	}
+	if _, err := SimulateInference(nil, InferenceConfig{}); err == nil {
+		t.Error("empty trace accepted")
 	}
 }
 

@@ -18,7 +18,6 @@
 package gpu
 
 import (
-	"container/heap"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -333,28 +332,63 @@ func drive(net *flownet.Network, tenants []*runner, opt driveOptions) error {
 }
 
 // execHeap orders executing tenants by kernel-end time (ties by index, so
-// wake order is deterministic).
+// wake order is deterministic). push and pop are typed, allocation-free
+// copies of container/heap's Push and Pop: the sifts take the same child,
+// break on the same test and move the last element into the hole, so the
+// array evolves exactly as container/heap would evolve it. The two queues
+// do not share a generic heap: calling before through a type parameter
+// is not inlined and costs ~20% of a serving run (DESIGN.md §8).
 type execEntry struct {
 	at  units.Time
 	idx int
 }
 
+func (a execEntry) before(b execEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.idx < b.idx
+}
+
 type execHeap []execEntry
 
-func (h execHeap) Len() int { return len(h) }
-func (h execHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *execHeap) push(e execEntry) {
+	*h = append(*h, e)
+	s := *h
+	j := len(s) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !e.before(s[i]) {
+			break
+		}
+		s[j] = s[i]
+		j = i
 	}
-	return h[i].idx < h[j].idx
+	s[j] = e
 }
-func (h execHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *execHeap) Push(x any)   { *h = append(*h, x.(execEntry)) }
-func (h *execHeap) Pop() any {
-	old := *h
-	e := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return e
+
+func (h *execHeap) pop() execEntry {
+	s := *h
+	n := len(s) - 1
+	top, e := s[0], s[n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].before(s[j]) {
+			j = j2
+		}
+		if !s[j].before(e) {
+			break
+		}
+		s[i] = s[j]
+		i = j
+	}
+	s[i] = e
+	*h = s[:n]
+	return top
 }
 
 // bitset is a fixed-size index set iterated in ascending order, so wake and
@@ -563,7 +597,7 @@ func driveEvents(net *flownet.Network, tenants []*runner, faults *faultClock, st
 			case phaseExec:
 				if !r.inExecHeap {
 					r.inExecHeap = true
-					heap.Push(&execH, execEntry{at: r.execEnd, idx: i})
+					execH.push(execEntry{at: r.execEnd, idx: i})
 				}
 			}
 			if r.queuedWork() {
@@ -620,7 +654,7 @@ func driveEvents(net *flownet.Network, tenants []*runner, faults *faultClock, st
 		})
 		now := net.Now()
 		for len(execH) > 0 && execH[0].at <= now {
-			e := heap.Pop(&execH).(execEntry)
+			e := execH.pop()
 			tenants[e.idx].inExecHeap = false
 			ready.set(e.idx)
 		}

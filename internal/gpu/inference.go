@@ -40,7 +40,6 @@
 package gpu
 
 import (
-	"container/heap"
 	"fmt"
 
 	"g10sim/internal/flownet"
@@ -259,25 +258,57 @@ type admitEntry struct {
 	q      *infReq
 }
 
+func (a admitEntry) before(b admitEntry) bool {
+	if a.reload != b.reload {
+		return !a.reload
+	}
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.idx < b.idx
+}
+
+// admitHeap's push and pop mirror container/heap step by step, as
+// execHeap's do.
 type admitHeap []admitEntry
 
-func (h admitHeap) Len() int { return len(h) }
-func (h admitHeap) Less(i, j int) bool {
-	if h[i].reload != h[j].reload {
-		return !h[i].reload
+func (h *admitHeap) push(e admitEntry) {
+	*h = append(*h, e)
+	s := *h
+	j := len(s) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !e.before(s[i]) {
+			break
+		}
+		s[j] = s[i]
+		j = i
 	}
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
-	}
-	return h[i].idx < h[j].idx
+	s[j] = e
 }
-func (h admitHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *admitHeap) Push(x any)   { *h = append(*h, x.(admitEntry)) }
-func (h *admitHeap) Pop() any {
-	old := *h
-	e := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return e
+
+func (h *admitHeap) pop() admitEntry {
+	s := *h
+	n := len(s) - 1
+	top, e := s[0], s[n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].before(s[j]) {
+			j = j2
+		}
+		if !s[j].before(e) {
+			break
+		}
+		s[i] = s[j]
+		i = j
+	}
+	s[i] = e
+	*h = s[:n]
+	return top
 }
 
 // infServer is one GPU instance: a KV block pool, the requests holding it,
@@ -348,9 +379,14 @@ func (e *infEngine) blocksFor(tokens int) int {
 }
 
 // RunInference simulates the request trace on the cluster engine and
-// returns per-request stats. Results are byte-identical across drivers and
-// shard counts, like RunCluster.
+// returns per-request stats. Zero sizes take the defaults; negative ones
+// are rejected. Results are byte-identical across drivers and shard
+// counts, like RunCluster.
 func RunInference(p InferenceParams) (InferenceResult, error) {
+	if p.Servers < 0 || p.GPUBlocks < 0 || p.HostBlocks < 0 || p.BlockTokens < 0 || p.BlockBytes < 0 {
+		return InferenceResult{}, fmt.Errorf("gpu: inference with a negative size (servers %d, GPU blocks %d, host blocks %d, block tokens %d, block bytes %d)",
+			p.Servers, p.GPUBlocks, p.HostBlocks, p.BlockTokens, p.BlockBytes)
+	}
 	p = p.withDefaults()
 	if len(p.Requests) == 0 {
 		return InferenceResult{}, fmt.Errorf("gpu: inference with no requests")
@@ -438,7 +474,7 @@ func (q *infReq) enqueue(st reqState) {
 	if !reload {
 		q.srv.admitPrefill++
 	}
-	heap.Push(&q.srv.admit, admitEntry{reload: reload, key: units.MaxTime(0, q.spec.Arrival), idx: q.r.idx, q: q})
+	q.srv.admit.push(admitEntry{reload: reload, key: units.MaxTime(0, q.spec.Arrival), idx: q.r.idx, q: q})
 	q.srv.pump()
 }
 
@@ -709,15 +745,15 @@ func (srv *infServer) nextWaiter() *infReq {
 	return nil
 }
 
-// hasWaiter reports an ungranted decode waiter without consuming it.
-func (srv *infServer) hasWaiter() bool {
-	for i := srv.wHead; i < len(srv.waiters); i++ {
-		q := srv.waiters[i]
+// firstWaiter returns the oldest ungranted decode waiter without consuming
+// it (nil if none).
+func (srv *infServer) firstWaiter() *infReq {
+	for _, q := range srv.waiters[srv.wHead:] {
 		if q.state == reqBlockWait && !q.granted {
-			return true
+			return q
 		}
 	}
-	return false
+	return nil
 }
 
 // pump is the server's grant pass, run after anything frees or queues
@@ -761,13 +797,13 @@ func (srv *infServer) pump() {
 				break
 			}
 			srv.free -= need
-			if e := heap.Pop(&srv.admit).(admitEntry); !e.reload {
+			if e := srv.admit.pop(); !e.reload {
 				srv.admitPrefill--
 			}
 			srv.grantAdmit(head, need)
 		}
 		srv.checkThreshold()
-		if srv.hasWaiter() {
+		if srv.firstWaiter() != nil {
 			srv.demand()
 		}
 		if !srv.repump {
@@ -844,13 +880,7 @@ func (srv *infServer) checkThreshold() {
 // pressure cycles evict their own beneficiaries and the pool thrashes
 // without progress.
 func (srv *infServer) pickVictim() *infReq {
-	var protect *infReq
-	for i := srv.wHead; i < len(srv.waiters); i++ {
-		if q := srv.waiters[i]; q.state == reqBlockWait && !q.granted {
-			protect = q
-			break
-		}
-	}
+	protect := srv.firstWaiter()
 	var v *infReq
 	for _, q := range srv.active {
 		if q == protect || q.granted || q.homed {

@@ -344,3 +344,24 @@ func percentileDuration(ds []units.Duration, q float64) units.Duration {
 	}
 	return sorted[idx]
 }
+
+// BenchmarkInferenceServe is the serving layer's ledger row: a fixed-seed
+// 10^4-request trace at the inference figure's full-mode shape (~151 req/s
+// against the default four 2048-block servers) under each KV policy. One
+// decode step is one driver event, so ns/op and allocs/op track the per-token
+// cost of the kernel-end and admission queues; steps/op is the event count.
+func BenchmarkInferenceServe(b *testing.B) {
+	specs := servingTrace(10_000, 0x67313069, 6600*units.Microsecond, 512, 160, 1024, 160, 512)
+	for _, pol := range []KVPolicy{singleTierKV(), tieredKV()} {
+		b.Run(pol.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			var steps int64
+			for i := 0; i < b.N; i++ {
+				if _, err := RunInference(InferenceParams{Requests: specs, Policy: pol, StepCount: &steps}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+		})
+	}
+}

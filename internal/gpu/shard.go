@@ -25,7 +25,6 @@
 package gpu
 
 import (
-	"container/heap"
 	"fmt"
 	"runtime"
 	"sort"
@@ -210,7 +209,7 @@ func driveSharded(net *flownet.Network, tenants []*runner, nshards int, faults *
 				case phaseExec:
 					if !r.inExecHeap {
 						r.inExecHeap = true
-						heap.Push(&s.execH, execEntry{at: r.execEnd, idx: i})
+						s.execH.push(execEntry{at: r.execEnd, idx: i})
 					}
 				}
 				if r.queuedWork() {
@@ -283,7 +282,7 @@ func driveSharded(net *flownet.Network, tenants []*runner, nshards int, faults *
 		// Parallel phase: each shard pops its due kernel-end entries.
 		crew.run(func(s *shard) {
 			for len(s.execH) > 0 && s.execH[0].at <= now {
-				e := heap.Pop(&s.execH).(execEntry)
+				e := s.execH.pop()
 				tenants[e.idx].inExecHeap = false
 				s.ready.set(e.idx)
 			}
