@@ -92,7 +92,6 @@ type benchReport struct {
 	Suite      string        `json:"suite"`
 	Short      bool          `json:"short"`
 	Workers    int           `json:"workers"`
-	Shards     int           `json:"shards,omitempty"`
 	Models     []string      `json:"models,omitempty"`
 	Benchmarks []benchRecord `json:"benchmarks"`
 	TotalNs    int64         `json:"total_ns"`
@@ -112,6 +111,8 @@ type benchReport struct {
 // bench history. Each entry is one labeled benchReport; `-trajectory`
 // appends the current run (replacing an existing entry with the same
 // label, so re-running a PR's bench refreshes rather than duplicates).
+// Reports stay raw JSON so earlier entries round-trip verbatim, including
+// fields this binary no longer writes (such as a shard count).
 // BENCH.md documents the format and the provenance of historical entries.
 type trajectoryFile struct {
 	Format  int               `json:"format"`
@@ -119,9 +120,9 @@ type trajectoryFile struct {
 }
 
 type trajectoryEntry struct {
-	Label  string      `json:"label"`
-	Note   string      `json:"note,omitempty"`
-	Report benchReport `json:"report"`
+	Label  string          `json:"label"`
+	Note   string          `json:"note,omitempty"`
+	Report json.RawMessage `json:"report"`
 }
 
 // appendTrajectory folds rep into the trajectory file under label.
@@ -137,7 +138,11 @@ func appendTrajectory(path, label, note string, rep benchReport) error {
 	if tf.Format == 0 {
 		tf.Format = 1
 	}
-	entry := trajectoryEntry{Label: label, Note: note, Report: rep}
+	raw, err := json.Marshal(rep)
+	if err != nil {
+		return fmt.Errorf("encoding report: %w", err)
+	}
+	entry := trajectoryEntry{Label: label, Note: note, Report: raw}
 	replaced := false
 	for i := range tf.Entries {
 		if tf.Entries[i].Label == label {
@@ -232,9 +237,6 @@ func runGate(cur benchReport, baselinePath, outPath string, tolerance float64) e
 	if base.Workers != cur.Workers {
 		return fmt.Errorf("baseline workers=%d but this run workers=%d; compare like with like", base.Workers, cur.Workers)
 	}
-	if base.Shards != cur.Shards {
-		return fmt.Errorf("baseline shards=%d but this run shards=%d; compare like with like", base.Shards, cur.Shards)
-	}
 	if fmt.Sprint(base.Models) != fmt.Sprint(cur.Models) {
 		return fmt.Errorf("baseline models=%v but this run models=%v; compare like with like", base.Models, cur.Models)
 	}
@@ -303,7 +305,6 @@ func main() {
 		short      = flag.Bool("short", false, "shrunken workloads for a fast pass")
 		models     = flag.String("models", "", "comma-separated model subset (default: all five)")
 		workers    = flag.Int("workers", 0, "simulation worker pool size (0 = all cores, 1 = serial)")
-		shards     = flag.Int("shards", 0, "split every cluster co-simulation across this many shard workers (results are byte-identical at any setting; <= 1 runs the sequential driver)")
 		jsonPath   = flag.String("json", "", "write per-figure timings as JSON (BENCH_*.json perf-trajectory format) to this path")
 		gatePath   = flag.String("gate", "", "compare this run's timings against the baseline JSON at this path; exit nonzero on regression")
 		gateOut    = flag.String("gateout", "BENCH_delta.json", "write the gate's per-figure delta report to this path (with -gate)")
@@ -359,14 +360,14 @@ func main() {
 		}()
 	}
 
-	if err := run(*fig, *short, *models, *workers, *shards, *jsonPath, *bench, *gatePath, *gateOut, *gateTol, *trajPath, *trajLabel, *trajNote); err != nil {
+	if err := run(*fig, *short, *models, *workers, *jsonPath, *bench, *gatePath, *gateOut, *gateTol, *trajPath, *trajLabel, *trajNote); err != nil {
 		fmt.Fprintf(os.Stderr, "g10bench: %v\n", err)
 		failed = true
 	}
 }
 
-func run(fig string, short bool, models string, workers, shards int, jsonPath string, bench bool, gatePath, gateOut string, gateTol float64, trajPath, trajLabel, trajNote string) error {
-	opt := experiments.Options{Short: short, W: os.Stdout, Perf: os.Stdout, Workers: workers, Shards: shards}
+func run(fig string, short bool, models string, workers int, jsonPath string, bench bool, gatePath, gateOut string, gateTol float64, trajPath, trajLabel, trajNote string) error {
+	opt := experiments.Options{Short: short, W: os.Stdout, Perf: os.Stdout, Workers: workers}
 	if models != "" {
 		opt.Models = strings.Split(models, ",")
 	}
@@ -383,7 +384,7 @@ func run(fig string, short bool, models string, workers, shards int, jsonPath st
 		}
 	}
 
-	report := benchReport{Suite: "g10bench-figures", Short: short, Workers: workers, Shards: shards, Models: opt.Models}
+	report := benchReport{Suite: "g10bench-figures", Short: short, Workers: workers, Models: opt.Models}
 	if bench || gatePath != "" {
 		report.CalibrationNs = calibrate()
 	}

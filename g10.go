@@ -273,13 +273,10 @@ type ClusterJob struct {
 // tenants share.
 type ClusterConfig struct {
 	Config
-	// SSDs is the number of drives in the shared array (default 1); the
-	// array's bandwidth and capacity scale linearly with it.
+	// SSDs is the number of drives in the shared array (0 means 1;
+	// negative is rejected); the array's bandwidth and capacity scale
+	// linearly with it.
 	SSDs int
-	// Shards splits the co-simulation across that many shard workers,
-	// advancing independent scheduler state concurrently. The report is
-	// byte-identical at any shard count; <= 1 runs sequentially.
-	Shards int
 	// Faults injects a deterministic fault schedule — server crashes, PCIe
 	// link degradation windows, flash die failures. nil injects nothing.
 	Faults *FaultPlan
@@ -383,12 +380,19 @@ func SimulateCluster(jobs []ClusterJob, ccfg ClusterConfig) (ClusterReport, erro
 	if len(jobs) == 0 {
 		return ClusterReport{}, fmt.Errorf("g10sim: cluster with no jobs")
 	}
+	if ccfg.SSDs < 0 {
+		return ClusterReport{}, fmt.Errorf("g10sim: cluster with %d SSDs", ccfg.SSDs)
+	}
 	shared := ccfg.Config.toInternal()
 	shared.SSD = shared.SSD.Array(ccfg.SSDs)
 	tenants := make([]gpu.ClusterTenant, len(jobs))
 	for i, j := range jobs {
 		if j.Workload == nil {
 			return ClusterReport{}, fmt.Errorf("g10sim: job %d has no workload", i)
+		}
+		arrival, err := arrivalTime(j.ArrivalSeconds)
+		if err != nil {
+			return ClusterReport{}, fmt.Errorf("g10sim: job %d: %w", i, err)
 		}
 		pol, err := newPolicy(j.Policy, ccfg.Adaptive)
 		if err != nil {
@@ -408,12 +412,12 @@ func SimulateCluster(jobs []ClusterJob, ccfg ClusterConfig) (ClusterReport, erro
 			Policy:      pol,
 			Config:      tenantConfig(shared, j.Policy),
 			Tag:         fmt.Sprintf("gpu%d", i),
-			ArrivalTime: units.Time(j.ArrivalSeconds * float64(units.Second)),
+			ArrivalTime: arrival,
 			Recovery:    rec,
 		}
 	}
 	cres, err := gpu.RunCluster(gpu.ClusterParams{
-		Tenants: tenants, Shared: shared, Shards: ccfg.Shards,
+		Tenants: tenants, Shared: shared,
 		Faults: ccfg.Faults.toInternal(),
 	})
 	if err != nil {
@@ -437,6 +441,17 @@ func SimulateCluster(jobs []ClusterJob, ccfg ClusterConfig) (ClusterReport, erro
 	return out, nil
 }
 
+// arrivalTime converts an ArrivalSeconds offset to simulated time. NaN,
+// infinite, negative and unrepresentably late arrivals are rejected rather
+// than silently run at t=0.
+func arrivalTime(s float64) (units.Time, error) {
+	ns := s * float64(units.Second)
+	if !(s >= 0) || ns >= float64(units.Forever) {
+		return 0, fmt.Errorf("arrival %v s is not a finite non-negative simulated time", s)
+	}
+	return units.Time(ns), nil
+}
+
 // InferenceRequest is one request of an LLM serving trace.
 type InferenceRequest struct {
 	// ArrivalSeconds admits the request mid-simulation (0 = present at
@@ -449,8 +464,8 @@ type InferenceRequest struct {
 
 // InferenceConfig sizes the serving cluster. Zero values take the engine
 // defaults (four servers, 2048-block GPU KV pools, 512-block host tier,
-// 16-token 2 MiB blocks); negative sizes and a non-finite BlockMB are
-// rejected.
+// 16-token 2 MiB blocks); negative sizes, a non-finite BlockMB and a NaN
+// OffloadThreshold are rejected.
 type InferenceConfig struct {
 	Servers     int
 	GPUBlocks   int // per-server KV block pool
@@ -464,10 +479,6 @@ type InferenceConfig struct {
 	// offloads proactively while admissions queue (default 0.8).
 	Tiered           bool
 	OffloadThreshold float64
-
-	// Shards splits the simulation across shard workers; the report is
-	// byte-identical at any shard count.
-	Shards int
 }
 
 // InferenceRequestStat is one request's simulated timeline.
@@ -508,10 +519,17 @@ func SimulateInference(reqs []InferenceRequest, cfg InferenceConfig) (InferenceR
 	if cfg.BlockMB < 0 || math.IsNaN(cfg.BlockMB) || math.IsInf(cfg.BlockMB, 0) {
 		return InferenceReport{}, fmt.Errorf("g10sim: inference BlockMB %v is not a finite non-negative size", cfg.BlockMB)
 	}
+	if math.IsNaN(cfg.OffloadThreshold) {
+		return InferenceReport{}, fmt.Errorf("g10sim: inference OffloadThreshold is NaN")
+	}
 	specs := make([]gpu.RequestSpec, len(reqs))
 	for i, rq := range reqs {
+		arrival, err := arrivalTime(rq.ArrivalSeconds)
+		if err != nil {
+			return InferenceReport{}, fmt.Errorf("g10sim: request %d: %w", i, err)
+		}
 		specs[i] = gpu.RequestSpec{
-			Arrival:      units.Time(rq.ArrivalSeconds * float64(units.Second)),
+			Arrival:      arrival,
 			PromptTokens: rq.PromptTokens,
 			OutputTokens: rq.OutputTokens,
 		}
@@ -528,7 +546,6 @@ func SimulateInference(reqs []InferenceRequest, cfg InferenceConfig) (InferenceR
 		HostBlocks:  cfg.HostBlocks,
 		BlockTokens: cfg.BlockTokens,
 		BlockBytes:  units.Bytes(cfg.BlockMB * float64(units.MB)),
-		Shards:      cfg.Shards,
 	})
 	if err != nil {
 		return InferenceReport{}, err

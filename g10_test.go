@@ -274,17 +274,55 @@ func TestSimulateClusterContention(t *testing.T) {
 	}
 }
 
-// TestSimulateClusterRejectsBadInput covers the error paths.
+// TestSimulateClusterRejectsBadInput asserts that every malformed cluster
+// input — including an arrival that is not a finite, non-negative,
+// representable simulated time and a negative drive count — returns an
+// error instead of panicking or silently producing a report, while zero
+// still means "present at start" and "one drive".
 func TestSimulateClusterRejectsBadInput(t *testing.T) {
-	if _, err := SimulateCluster(nil, ClusterConfig{Config: DefaultConfig()}); err == nil {
-		t.Error("empty cluster accepted")
+	w, err := BuildModel("BERT", 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	w, _ := BuildModel("BERT", 8)
-	if _, err := SimulateCluster([]ClusterJob{{Workload: w, Policy: "nope"}}, ClusterConfig{Config: DefaultConfig()}); err == nil {
-		t.Error("unknown policy accepted")
+	cfg := smallConfig()
+	late := func(arrival float64) []ClusterJob {
+		return []ClusterJob{
+			{Workload: w, Policy: "G10"},
+			{Workload: w, Policy: "G10", ArrivalSeconds: arrival},
+		}
 	}
-	if _, err := SimulateCluster([]ClusterJob{{Policy: "G10"}}, ClusterConfig{Config: DefaultConfig()}); err == nil {
-		t.Error("nil workload accepted")
+	for _, tc := range []struct {
+		name string
+		jobs []ClusterJob
+		ssds int
+	}{
+		{"no jobs", nil, 0},
+		{"unknown policy", []ClusterJob{{Workload: w, Policy: "nope"}}, 0},
+		{"nil workload", []ClusterJob{{Policy: "G10"}}, 0},
+		{"NaN arrival", late(math.NaN()), 0},
+		{"+Inf arrival", late(math.Inf(1)), 0},
+		{"-Inf arrival", late(math.Inf(-1)), 0},
+		{"negative arrival", late(-0.5), 0},
+		{"unrepresentable arrival", late(1e300), 0},
+		{"negative SSDs", late(0), -2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if rep, err := SimulateCluster(tc.jobs, ClusterConfig{Config: cfg, SSDs: tc.ssds}); err == nil {
+				t.Errorf("accepted; report makespan %.4fs, spans %+v", rep.MakespanSeconds, rep.Spans)
+			}
+		})
+	}
+	rep, err := SimulateCluster(late(0.01), ClusterConfig{Config: cfg})
+	if err != nil {
+		t.Fatalf("valid arrivals with default SSDs rejected: %v", err)
+	}
+	if got := rep.Spans[1].ArrivalSeconds; got != 0.01 {
+		t.Errorf("second job arrived at %vs, want 0.01s", got)
 	}
 }
 
@@ -297,17 +335,24 @@ func TestSimulateInferenceRejectsBadInput(t *testing.T) {
 		{ArrivalSeconds: 0.01, PromptTokens: 32, OutputTokens: 8},
 	}
 	for _, tc := range []struct {
-		name string
-		cfg  InferenceConfig
+		name    string
+		cfg     InferenceConfig
+		arrival float64 // second request's ArrivalSeconds, if nonzero
 	}{
-		{"negative servers", InferenceConfig{Servers: -1}},
-		{"negative GPU blocks", InferenceConfig{GPUBlocks: -1}},
-		{"negative host blocks", InferenceConfig{HostBlocks: -8}},
-		{"negative block tokens", InferenceConfig{BlockTokens: -16}},
-		{"negative block MB", InferenceConfig{BlockMB: -2}},
-		{"NaN block MB", InferenceConfig{BlockMB: math.NaN()}},
-		{"+Inf block MB", InferenceConfig{BlockMB: math.Inf(1)}},
-		{"-Inf block MB", InferenceConfig{BlockMB: math.Inf(-1)}},
+		{"negative servers", InferenceConfig{Servers: -1}, 0},
+		{"negative GPU blocks", InferenceConfig{GPUBlocks: -1}, 0},
+		{"negative host blocks", InferenceConfig{HostBlocks: -8}, 0},
+		{"negative block tokens", InferenceConfig{BlockTokens: -16}, 0},
+		{"negative block MB", InferenceConfig{BlockMB: -2}, 0},
+		{"NaN block MB", InferenceConfig{BlockMB: math.NaN()}, 0},
+		{"+Inf block MB", InferenceConfig{BlockMB: math.Inf(1)}, 0},
+		{"-Inf block MB", InferenceConfig{BlockMB: math.Inf(-1)}, 0},
+		{"NaN offload threshold", InferenceConfig{Tiered: true, OffloadThreshold: math.NaN()}, 0},
+		{"NaN arrival", InferenceConfig{}, math.NaN()},
+		{"+Inf arrival", InferenceConfig{}, math.Inf(1)},
+		{"-Inf arrival", InferenceConfig{}, math.Inf(-1)},
+		{"negative arrival", InferenceConfig{}, -0.5},
+		{"unrepresentable arrival", InferenceConfig{}, 1e300},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -315,7 +360,11 @@ func TestSimulateInferenceRejectsBadInput(t *testing.T) {
 					t.Fatalf("panicked: %v", r)
 				}
 			}()
-			if rep, err := SimulateInference(reqs, tc.cfg); err == nil {
+			rs := append([]InferenceRequest(nil), reqs...)
+			if tc.arrival != 0 {
+				rs[1].ArrivalSeconds = tc.arrival
+			}
+			if rep, err := SimulateInference(rs, tc.cfg); err == nil {
 				t.Errorf("accepted; report makespan %.4fs", rep.MakespanSeconds)
 			}
 		})

@@ -118,7 +118,7 @@ func TestEventDriverMatchesPollingEveryModelPolicy(t *testing.T) {
 					}
 					return res
 				}
-				event := runOnce(gpu.DriverAuto)
+				event := runOnce(gpu.DriverEvents)
 				polling := runOnce(gpu.DriverPolling)
 				if !reflect.DeepEqual(event, polling) {
 					t.Errorf("event-driven diverged from polling reference:\nevent:   %+v\npolling: %+v", event, polling)

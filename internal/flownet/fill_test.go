@@ -153,27 +153,6 @@ func TestFrontierGiantComponent(t *testing.T) {
 	}
 }
 
-// TestFrontierGiantComponentParallel re-runs the giant-component
-// differential with a worker budget, as the sharded cluster driver sets
-// one: the refill itself is single-component (nothing to parallelize), but
-// trace recording and invalidation must stay correct around concurrent
-// component fills.
-func TestFrontierGiantComponentParallel(t *testing.T) {
-	if forceReferenceFill.Load() {
-		t.Skip("reference fill forced; no frontier to exercise")
-	}
-	old := parallelFillMinFlows
-	parallelFillMinFlows = 2
-	defer func() { parallelFillMinFlows = old }()
-	for seed := int64(5); seed <= 6; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			giantDifferential(t, seed, 32, 400, func(ref, dut *Network) {
-				dut.SetWorkers(3)
-			})
-		})
-	}
-}
-
 // TestSucceedAfterMidWindowRecompute pins the corner where an in-window
 // succession's predecessor no longer has a pending detach record: the
 // delivery callback starts a new flow and then queries NextEvent, which

@@ -210,10 +210,6 @@ type Network struct {
 	// dirtyRes lists the resources marked dirty since the last recompute
 	// (deduplicated via Resource.dirty); cleared when rates are re-derived.
 	dirtyRes []*Resource
-	// workers caps the goroutines a recompute may use to fill independent
-	// dirty components concurrently (see components.go). 0 or 1 keeps the
-	// recompute strictly sequential.
-	workers int
 	// forceGlobalFill pins recompute to the direct global fill at any size —
 	// the reference side of the component-decomposition differential tests.
 	forceGlobalFill bool
@@ -228,7 +224,8 @@ type Network struct {
 	// Fill trace and frontier-refill state (see fill.go). trace is the
 	// recorded fill of the traced component (nil when none); traceBuf is the
 	// reused backing object; the delta lists accumulate flow attach/detach
-	// records between recomputes; refillRes/refillFS are refill scratch.
+	// records between recomputes; refillRes is refill scratch. fillFS is
+	// the scratch every fill (component or frontier refill) runs on.
 	trace       *fillTrace
 	traceBuf    *fillTrace
 	traceGenSrc uint32
@@ -237,7 +234,7 @@ type Network struct {
 	deltaRes    []*Resource
 	deltaStamp  uint32
 	refillRes   []*Resource
-	refillFS    fillState
+	fillFS      fillState
 	// refFill pins this network to the reference per-round-scan fill (no
 	// heap, no trace, no frontier refills). Latched from
 	// ForceReferenceFillForTest at New.

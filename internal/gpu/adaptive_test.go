@@ -193,7 +193,7 @@ func TestEventDriverMatchesPollingAdaptive(t *testing.T) {
 		}
 		return res
 	}
-	ev := runOnce(DriverAuto)
+	ev := runOnce(DriverEvents)
 	poll := runOnce(DriverPolling)
 	if swaps == 0 {
 		t.Error("no tenant ever swapped its program; the differential is vacuous")

@@ -13,8 +13,8 @@
 // polling scheduler (the shared-clock loop this engine grew out of) is
 // retained behind ClusterParams.Driver; differential tests pin the two
 // bit-identical across every model × policy. A one-tenant cluster executes
-// exactly the single-machine Run loop. ClusterParams.Shards > 1 selects the
-// sharded driver (shard.go), byte-identical to the sequential one.
+// exactly the single-machine Run loop. The engine is sequential: one event
+// loop on one goroutine (DESIGN.md §11 records why).
 package gpu
 
 import (
@@ -66,12 +66,8 @@ type ClusterParams struct {
 	// memory capacity, and host DRAM bandwidth (its per-GPU fields are
 	// ignored).
 	Shared Config
-	// Shards splits the cluster across that many shard workers (see
-	// shard.go); results are byte-identical at any value. <= 1 runs the
-	// sequential scheduler.
-	Shards int
 	// Driver selects the scheduler implementation; the zero value is the
-	// production event-driven scheduler (sharded when Shards > 1).
+	// production event-driven scheduler.
 	Driver Driver
 	// StepCount, when non-nil, accumulates the run's step-machine
 	// invocations — the scheduler-cost metric BenchmarkClusterScaling pins
@@ -81,13 +77,13 @@ type ClusterParams struct {
 	// Engine, when non-nil, accumulates the run's engine-internal work
 	// counters (see EngineStats). Like StepCount, this is an out-parameter
 	// rather than a ClusterResult field so results stay byte-comparable
-	// across drivers and shard counts in differential tests while the
+	// across drivers in differential tests while the
 	// bookkeeping costs — which legitimately differ between eager and lazy
 	// engine modes — are observable separately.
 	Engine *EngineStats
 	// Faults injects a deterministic fault schedule (faults.go). The events
 	// are applied at the same pump point in every driver, so byte-identity
-	// across drivers and shard counts holds for faulted runs too. nil or
+	// across drivers holds for faulted runs too. nil or
 	// empty injects nothing and adds no overhead.
 	Faults *FaultPlan
 }
@@ -151,12 +147,8 @@ func (s *EngineStats) Add(o EngineStats) {
 type Driver int
 
 const (
-	// DriverAuto is the production path: the event-driven scheduler,
-	// sharded when ClusterParams.Shards > 1.
-	DriverAuto Driver = iota
-	// DriverEvents forces the sequential event-driven scheduler even when a
-	// shard count is set (the reference side of sharded differentials).
-	DriverEvents
+	// DriverEvents is the production path: the event-driven scheduler.
+	DriverEvents Driver = iota
 	// DriverPolling selects the retained polling reference scheduler
 	// (differential tests; executable documentation of the semantics).
 	DriverPolling
@@ -236,7 +228,7 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 		r.arrival = t.ArrivalTime
 		runners[i] = r
 	}
-	opt := driveOptions{driver: p.Driver, shards: p.Shards, steps: p.StepCount}
+	opt := driveOptions{driver: p.Driver, steps: p.StepCount}
 	if !p.Faults.Empty() {
 		opt.faults = newFaultClock(p.Faults, runners, sh, net)
 		mtbf := p.Faults.MTBF(len(p.Tenants))
@@ -304,11 +296,10 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 }
 
 // driveOptions is the per-run scheduler configuration — replacing what used
-// to be process-global toggles, so concurrent runs (and concurrent shards
-// within one run) never share mutable state.
+// to be process-global toggles, so concurrent runs never share mutable
+// state.
 type driveOptions struct {
 	driver Driver
-	shards int
 	steps  *int64
 	faults *faultClock
 }
@@ -317,12 +308,9 @@ type driveOptions struct {
 func drive(net *flownet.Network, tenants []*runner, opt driveOptions) error {
 	var steps int64
 	var err error
-	switch {
-	case opt.driver == DriverPolling:
+	if opt.driver == DriverPolling {
 		err = drivePolling(net, tenants, opt.faults, &steps)
-	case opt.driver == DriverAuto && opt.shards > 1:
-		err = driveSharded(net, tenants, opt.shards, opt.faults, &steps)
-	default:
+	} else {
 		err = driveEvents(net, tenants, opt.faults, &steps)
 	}
 	if opt.steps != nil {

@@ -29,7 +29,7 @@
 // just-evicted request cannot instantly readmit into the same full pool
 // and burn a prefill for zero progress.
 //
-// The same three cluster drivers (events / polling / sharded) advance
+// The same two cluster drivers (events / polling) advance
 // request tenants unchanged. Bit-identity across them rests on the same
 // two invariants the training runner obeys: woken tenants step in ascending
 // index order within a round, and stepping an un-woken request is a strict
@@ -101,7 +101,6 @@ type InferenceParams struct {
 	TierLatency     units.Duration
 
 	// Scheduler plumbing, as in ClusterParams.
-	Shards    int
 	Driver    Driver
 	StepCount *int64
 	Engine    *EngineStats
@@ -380,8 +379,8 @@ func (e *infEngine) blocksFor(tokens int) int {
 
 // RunInference simulates the request trace on the cluster engine and
 // returns per-request stats. Zero sizes take the defaults; negative ones
-// are rejected. Results are byte-identical across drivers and shard
-// counts, like RunCluster.
+// are rejected. Results are byte-identical across drivers, like
+// RunCluster.
 func RunInference(p InferenceParams) (InferenceResult, error) {
 	if p.Servers < 0 || p.GPUBlocks < 0 || p.HostBlocks < 0 || p.BlockTokens < 0 || p.BlockBytes < 0 {
 		return InferenceResult{}, fmt.Errorf("gpu: inference with a negative size (servers %d, GPU blocks %d, host blocks %d, block tokens %d, block bytes %d)",
@@ -427,7 +426,7 @@ func RunInference(p InferenceParams) (InferenceResult, error) {
 		q.r = r
 		runners[i] = r
 	}
-	opt := driveOptions{driver: p.Driver, shards: p.Shards, steps: p.StepCount}
+	opt := driveOptions{driver: p.Driver, steps: p.StepCount}
 	if err := drive(net, runners, opt); err != nil {
 		return InferenceResult{}, err
 	}
