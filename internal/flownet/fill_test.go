@@ -153,6 +153,52 @@ func TestFrontierGiantComponent(t *testing.T) {
 	}
 }
 
+// TestFrontierGiantComponentParallel re-runs the giant-component
+// differential with a second, parallel coupling component beside it: a
+// side link carrying its own staggered arrivals and completions. Deltas
+// there are outside the trace, so those recomputes run a component fill
+// while deltas in the giant component are served by frontier refills —
+// both on the one fill scratch (Network.fillFS). Interleaving the two must
+// leave the trace valid and both components bit-identical to the reference
+// fill.
+func TestFrontierGiantComponentParallel(t *testing.T) {
+	if forceReferenceFill.Load() {
+		t.Skip("reference fill forced; no frontier to exercise")
+	}
+	for seed := int64(5); seed <= 6; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			var refSide, dutSide []*Flow
+			ref, dut := giantDifferential(t, seed, 32, 400, func(ref, dut *Network) {
+				rng := rand.New(rand.NewSource(seed))
+				refLink, refDev := ref.AddResource("side/link", units.GBps(8)), ref.AddResource("side/dev", units.GBps(2))
+				dutLink, dutDev := dut.AddResource("side/link", units.GBps(8)), dut.AddResource("side/dev", units.GBps(2))
+				for i := 0; i < 24; i++ {
+					size := units.Bytes(1+rng.Intn(8)) * units.MB
+					at := units.Time(units.Duration(i*4+rng.Intn(3)) * units.Millisecond)
+					label := fmt.Sprintf("side%d", i)
+					refSide = append(refSide, ref.StartAt(label, size, at, nil, refLink, refDev))
+					dutSide = append(dutSide, dut.StartAt(label, size, at, nil, dutLink, dutDev))
+				}
+			})
+			for i := range refSide {
+				if rr, dr := refSide[i].Rate(), dutSide[i].Rate(); rr != dr {
+					t.Fatalf("side flow %s rate %v (ref) vs %v (dut)", refSide[i].Label, rr, dr)
+				}
+				if refSide[i].Remaining() != dutSide[i].Remaining() {
+					t.Fatalf("side flow %s remaining diverged", refSide[i].Label)
+				}
+			}
+			if dut.FrontierReuses() == 0 {
+				t.Fatal("giant-component churn produced no frontier reuses")
+			}
+			if dut.Recomputes() == dut.FrontierReuses() {
+				t.Fatal("every recompute was a frontier refill; the side component never filled")
+			}
+			t.Logf("now=%v recomputes=%d frontier reuses=%d", ref.Now(), dut.Recomputes(), dut.FrontierReuses())
+		})
+	}
+}
+
 // TestSucceedAfterMidWindowRecompute pins the corner where an in-window
 // succession's predecessor no longer has a pending detach record: the
 // delivery callback starts a new flow and then queries NextEvent, which
