@@ -41,7 +41,10 @@ func Policies() []string {
 // Models lists the built-in workloads of the paper's Table 1.
 func Models() []string { return models.Names() }
 
-// Config is the simulated system configuration (Table 2 defaults).
+// Config is the simulated system configuration (Table 2 defaults). Zero
+// selects a field's default, except HostMemoryGB, where zero means no host
+// memory; Simulate and SimulateCluster return an error for a negative,
+// NaN or infinite field.
 type Config struct {
 	GPUMemoryGB       float64 // on-board HBM capacity (default 40)
 	HostMemoryGB      float64 // host DRAM available for migrations (default 128)
@@ -74,7 +77,29 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) toInternal() gpu.Config {
+// toInternal converts the public config to the simulator's, rejecting a
+// negative Iterations and any size or bandwidth that is NaN, infinite,
+// negative, or too large to express in bytes (or bytes per second) as an
+// int64. Zero keeps its documented meaning.
+func (c Config) toInternal() (gpu.Config, error) {
+	if c.Iterations < 0 {
+		return gpu.Config{}, fmt.Errorf("g10sim: config Iterations = %d is negative", c.Iterations)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"GPUMemoryGB", c.GPUMemoryGB},
+		{"HostMemoryGB", c.HostMemoryGB},
+		{"PCIeBandwidthGBps", c.PCIeBandwidthGBps},
+		{"SSDReadGBps", c.SSDReadGBps},
+		{"SSDWriteGBps", c.SSDWriteGBps},
+		{"SSDCapacityGB", c.SSDCapacityGB},
+	} {
+		if !(f.v >= 0) || f.v*float64(units.GB) >= math.MaxInt64 {
+			return gpu.Config{}, fmt.Errorf("g10sim: config %s = %v is not a finite non-negative value in range", f.name, f.v)
+		}
+	}
 	cfg := gpu.Default()
 	if c.GPUMemoryGB > 0 {
 		cfg.GPUCapacity = units.Bytes(c.GPUMemoryGB * float64(units.GB))
@@ -95,7 +120,7 @@ func (c Config) toInternal() gpu.Config {
 	if c.Iterations > 0 {
 		cfg.Iterations = c.Iterations
 	}
-	return cfg
+	return cfg, nil
 }
 
 // Workload is an analyzed training iteration: the dataflow graph, its
@@ -188,7 +213,11 @@ func Simulate(w *Workload, policyName string, cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	icfg := tenantConfig(cfg.toInternal(), policyName)
+	base, err := cfg.toInternal()
+	if err != nil {
+		return Report{}, err
+	}
+	icfg := tenantConfig(base, policyName)
 	res, err := gpu.Run(gpu.RunParams{Analysis: w.analysis, Policy: pol, Config: icfg})
 	if err != nil {
 		return Report{}, err
@@ -383,7 +412,10 @@ func SimulateCluster(jobs []ClusterJob, ccfg ClusterConfig) (ClusterReport, erro
 	if ccfg.SSDs < 0 {
 		return ClusterReport{}, fmt.Errorf("g10sim: cluster with %d SSDs", ccfg.SSDs)
 	}
-	shared := ccfg.Config.toInternal()
+	shared, err := ccfg.Config.toInternal()
+	if err != nil {
+		return ClusterReport{}, err
+	}
 	shared.SSD = shared.SSD.Array(ccfg.SSDs)
 	tenants := make([]gpu.ClusterTenant, len(jobs))
 	for i, j := range jobs {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // smallConfig shrinks the system for fast facade tests.
@@ -291,27 +292,37 @@ func TestSimulateClusterRejectsBadInput(t *testing.T) {
 			{Workload: w, Policy: "G10", ArrivalSeconds: arrival},
 		}
 	}
-	for _, tc := range []struct {
+	type clusterCase struct {
 		name string
 		jobs []ClusterJob
 		ssds int
-	}{
-		{"no jobs", nil, 0},
-		{"unknown policy", []ClusterJob{{Workload: w, Policy: "nope"}}, 0},
-		{"nil workload", []ClusterJob{{Policy: "G10"}}, 0},
-		{"NaN arrival", late(math.NaN()), 0},
-		{"+Inf arrival", late(math.Inf(1)), 0},
-		{"-Inf arrival", late(math.Inf(-1)), 0},
-		{"negative arrival", late(-0.5), 0},
-		{"unrepresentable arrival", late(1e300), 0},
-		{"negative SSDs", late(0), -2},
-	} {
+		cfg  func(*Config) // nil: smallConfig unchanged
+	}
+	cases := []clusterCase{
+		{"no jobs", nil, 0, nil},
+		{"unknown policy", []ClusterJob{{Workload: w, Policy: "nope"}}, 0, nil},
+		{"nil workload", []ClusterJob{{Policy: "G10"}}, 0, nil},
+		{"NaN arrival", late(math.NaN()), 0, nil},
+		{"+Inf arrival", late(math.Inf(1)), 0, nil},
+		{"-Inf arrival", late(math.Inf(-1)), 0, nil},
+		{"negative arrival", late(-0.5), 0, nil},
+		{"unrepresentable arrival", late(1e300), 0, nil},
+		{"negative SSDs", late(0), -2, nil},
+	}
+	for _, bc := range badConfigs {
+		cases = append(cases, clusterCase{"config " + bc.name, late(0), 0, bc.set})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
 				if r := recover(); r != nil {
 					t.Fatalf("panicked: %v", r)
 				}
 			}()
+			cfg := cfg
+			if tc.cfg != nil {
+				tc.cfg(&cfg)
+			}
 			if rep, err := SimulateCluster(tc.jobs, ClusterConfig{Config: cfg, SSDs: tc.ssds}); err == nil {
 				t.Errorf("accepted; report makespan %.4fs, spans %+v", rep.MakespanSeconds, rep.Spans)
 			}
@@ -323,6 +334,107 @@ func TestSimulateClusterRejectsBadInput(t *testing.T) {
 	}
 	if got := rep.Spans[1].ArrivalSeconds; got != 0.01 {
 		t.Errorf("second job arrived at %vs, want 0.01s", got)
+	}
+}
+
+// badConfigs each set one Config field to a value Simulate and
+// SimulateCluster must reject: NaN, infinite, negative, or too large to
+// express in bytes (or bytes per second). Each one used to run: a bad host
+// size as if there were no host memory, a bad bandwidth as some other
+// bandwidth, a bad GPU size or iteration count as the default.
+var badConfigs = []struct {
+	name string
+	set  func(*Config)
+}{
+	{"NaN GPU memory", func(c *Config) { c.GPUMemoryGB = math.NaN() }},
+	{"negative host memory", func(c *Config) { c.HostMemoryGB = -1 }},
+	{"NaN host memory", func(c *Config) { c.HostMemoryGB = math.NaN() }},
+	{"+Inf host memory", func(c *Config) { c.HostMemoryGB = math.Inf(1) }},
+	{"unrepresentable host memory", func(c *Config) { c.HostMemoryGB = 1e300 }},
+	{"+Inf PCIe bandwidth", func(c *Config) { c.PCIeBandwidthGBps = math.Inf(1) }},
+	{"unrepresentable PCIe bandwidth", func(c *Config) { c.PCIeBandwidthGBps = 1e300 }},
+	{"-Inf SSD read bandwidth", func(c *Config) { c.SSDReadGBps = math.Inf(-1) }},
+	{"negative SSD write bandwidth", func(c *Config) { c.SSDWriteGBps = -2 }},
+	{"NaN SSD capacity", func(c *Config) { c.SSDCapacityGB = math.NaN() }},
+	{"negative iterations", func(c *Config) { c.Iterations = -3 }},
+}
+
+// TestSimulateRejectsBadConfig asserts that every malformed Config returns
+// an error instead of panicking or silently running some other system, and
+// that zero fields still select the defaults.
+func TestSimulateRejectsBadConfig(t *testing.T) {
+	w, err := BuildModel("BERT", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bc := range badConfigs {
+		t.Run(bc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			cfg := smallConfig()
+			bc.set(&cfg)
+			if rep, err := Simulate(w, "G10", cfg); err == nil {
+				t.Errorf("accepted; iteration %.4fs", rep.IterationSeconds)
+			}
+		})
+	}
+	want, err := Simulate(w, "G10", smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroed := smallConfig()
+	zeroed.PCIeBandwidthGBps, zeroed.SSDReadGBps, zeroed.SSDWriteGBps, zeroed.Iterations = 0, 0, 0, 0
+	got, err := Simulate(w, "G10", zeroed)
+	if err != nil {
+		t.Fatalf("zero fields rejected: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("zero fields did not select the defaults:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestSimulateStallsAtTinyBandwidth: at a PCIe bandwidth so low that a
+// migration would finish past the last representable simulated instant,
+// Simulate must return an error promptly — not wrap simulated time around
+// (a panic in the flow network) or spin.
+func TestSimulateStallsAtTinyBandwidth(t *testing.T) {
+	w, err := BuildModel("BERT", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gbps := range []float64{1e-9, 1e-12} {
+		t.Run(fmt.Sprint(gbps), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.PCIeBandwidthGBps = gbps
+			type outcome struct {
+				err   error
+				panic any
+			}
+			ch := make(chan outcome, 1)
+			go func() {
+				defer func() {
+					if r := recover(); r != nil {
+						ch <- outcome{panic: r}
+					}
+				}()
+				_, err := Simulate(w, "G10", cfg)
+				ch <- outcome{err: err}
+			}()
+			select {
+			case o := <-ch:
+				if o.panic != nil {
+					t.Fatalf("panicked: %v", o.panic)
+				}
+				if o.err == nil || !strings.Contains(o.err.Error(), "stalled") {
+					t.Errorf("err = %v, want a stall error", o.err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatal("no return within 20s")
+			}
+		})
 	}
 }
 

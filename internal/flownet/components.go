@@ -4,24 +4,26 @@
 // exactly across connected components of the bipartite graph whose nodes
 // are active flows and busy resources and whose edges are route membership:
 // a filling round's bottleneck choice in one component neither reads nor
-// writes any other component's state, so the global algorithm's round
-// sequence restricted to a component is the per-component algorithm's round
+// writes any other component's state, so a whole-network progressive fill's
+// round sequence restricted to a component is the per-component round
 // sequence — the same float operations in the same order, hence bit-equal
-// rates (DESIGN.md §11 gives the argument in full).
+// rates (DESIGN.md §11 gives the argument in full; a test-side whole-network
+// oracle pins it). Every recompute that the frontier refill cannot serve
+// runs this decomposition, at any network size.
 //
-// That factorization buys two things. Components whose flow multiset and
-// capacities are unchanged since the last recompute (no dirty resource)
-// keep their allocation verbatim and skip filling entirely — in a fleet,
-// one tenant's chunk completion re-derives that tenant's coupling group,
-// not every flow in the cluster.
+// The factorization means components whose flow multiset and capacities are
+// unchanged since the last recompute (no dirty resource) keep their
+// allocation verbatim and skip filling entirely — in a fleet, one tenant's
+// chunk completion re-derives that tenant's coupling group, not every flow
+// in the cluster.
 package flownet
 
 // component is one connected group of active flows and the busy resources
 // they traverse. res is kept in registration order so the bottleneck search
-// breaks ties exactly as the global fill's scan would; flow order is free —
-// a filling round freezes the set of flows using the bottleneck, and every
-// one subtracts the same share, so the fill is flow-order-independent bit
-// for bit.
+// breaks ties as a scan over every registered resource would; flow order is
+// free — a filling round freezes the set of flows using the bottleneck, and
+// every one subtracts the same share, so the fill is flow-order-independent
+// bit for bit.
 type component struct {
 	flows []*Flow
 	res   []*Resource
@@ -55,15 +57,6 @@ func (n *Network) markRouteDirty(route []*Resource) {
 // with the dirty subgraph, not the active set (one tenant's chunk
 // completion walks that tenant's coupling group, whatever the fleet size).
 func (n *Network) recomputeComponents() {
-	if !n.adjacency {
-		// First component-decomposed recompute: bring the adjacency up for
-		// every already-active flow; activations and completions maintain it
-		// from here on.
-		n.adjacency = true
-		for _, f := range n.active {
-			n.attachFlow(f)
-		}
-	}
 	n.busyStamp++
 	stamp := n.busyStamp
 	comps := n.comps
@@ -76,6 +69,13 @@ func (n *Network) recomputeComponents() {
 	}
 	overlap := false
 	for _, seed := range n.dirtyRes {
+		if traceGen != 0 && seed.traceGen == traceGen {
+			// A full fill supersedes the trace wherever it overlaps it. An
+			// idle dirty resource counts too: when the traced component's
+			// last flows leave, no fill records their departure, and the
+			// trace would keep counting them.
+			overlap = true
+		}
 		if seed.busyStamp == stamp || len(seed.flows) == 0 {
 			// Already flooded into an earlier component, or idle: a dirty
 			// resource with no active flows constrains nothing.
@@ -94,9 +94,6 @@ func (n *Network) recomputeComponents() {
 		seed.busyStamp = stamp
 		seed.avail = seed.capacity
 		seed.count = 0
-		if traceGen != 0 && seed.traceGen == traceGen {
-			overlap = true
-		}
 		stack = append(stack, seed)
 		for len(stack) > 0 {
 			r := stack[len(stack)-1]
@@ -123,9 +120,11 @@ func (n *Network) recomputeComponents() {
 				}
 			}
 		}
-		// Order the component's resources by registration index (insertion
-		// sort, as in the global fill) so the bottleneck search visits them
-		// in the order the global scan would.
+		// Order the component's resources by registration index so the
+		// bottleneck search visits them in the order a scan over every
+		// registered resource would. Insertion sort: the list is small and
+		// collected in near-registration order, and this avoids sort.Slice's
+		// closure allocation on the per-event path.
 		rs := c.res
 		for i := 1; i < len(rs); i++ {
 			r := rs[i]

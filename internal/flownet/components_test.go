@@ -2,7 +2,9 @@ package flownet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"g10sim/internal/units"
@@ -23,8 +25,9 @@ func compTopology(n *Network, tenants int) (pcie []*Resource, shared []*Resource
 
 // driveDifferential replays one pseudo-random op sequence on two networks
 // and fails if their observable state (rates, next event, clock, byte
-// counters) ever diverges. mutate configures each network before the run.
-func driveDifferential(t *testing.T, seed int64, mutate func(ref, dut *Network)) {
+// counters) ever diverges. mutate configures each network before the run;
+// verify, when non-nil, runs further checks on dut at every check point.
+func driveDifferential(t *testing.T, seed int64, mutate func(ref, dut *Network), verify func(op string, dut *Network)) {
 	t.Helper()
 	const tenants = 10
 	ref, dut := New(), New()
@@ -49,14 +52,17 @@ func driveDifferential(t *testing.T, seed int64, mutate func(ref, dut *Network))
 		}
 		for i := range refS {
 			// Byte counters are integrated lazily; settlement points differ
-			// between the global and component fills (the global fill settles
-			// every flow, a component fill only dirty groups), so the sums
-			// associate differently — equal to float reassociation error. The
+			// between a full component fill and a frontier refill (the
+			// refill settles only its suffix flows), so the sums associate
+			// differently — equal to float reassociation error. The
 			// per-flow observables above stay bit-exact.
 			rb, db := refS[i].BytesServed(), dutS[i].BytesServed()
 			if diff := rb - db; diff > 1e-3 || diff < -1e-3 {
 				t.Fatalf("%s: %s served %v (ref) vs %v (dut)", op, refS[i].Name, rb, db)
 			}
+		}
+		if verify != nil {
+			verify(op, dut)
 		}
 	}
 
@@ -106,15 +112,78 @@ func driveDifferential(t *testing.T, seed int64, mutate func(ref, dut *Network))
 	}
 }
 
+// globalFillRates is the whole-network progressive fill the component
+// decomposition must reproduce bit for bit: every active flow's route at
+// once, resources in registration order with the first strict minimum share
+// as the bottleneck, every unfrozen flow through it frozen at that share,
+// and each route resource's remaining capacity reduced, clamped at zero.
+func globalFillRates(n *Network) map[*Flow]float64 {
+	avail := map[*Resource]float64{}
+	count := map[*Resource]int{}
+	var busy []*Resource
+	for _, f := range n.active {
+		for _, r := range f.route {
+			if _, ok := avail[r]; !ok {
+				avail[r] = r.capacity
+				busy = append(busy, r)
+			}
+			count[r]++
+		}
+	}
+	sort.Slice(busy, func(i, j int) bool { return busy[i].regIdx < busy[j].regIdx })
+	rates := make(map[*Flow]float64, len(n.active))
+	for len(rates) < len(n.active) {
+		var bneck *Resource
+		share := math.Inf(1)
+		for _, r := range busy {
+			if count[r] > 0 && avail[r]/float64(count[r]) < share {
+				share, bneck = avail[r]/float64(count[r]), r
+			}
+		}
+		if bneck == nil {
+			break
+		}
+		if share < 0 {
+			share = 0
+		}
+		for _, f := range n.active {
+			if _, frozen := rates[f]; frozen || !flowUses(f, bneck) {
+				continue
+			}
+			rates[f] = share
+			for _, r := range f.route {
+				if avail[r] -= share; avail[r] < 0 {
+					avail[r] = 0
+				}
+				count[r]--
+			}
+		}
+	}
+	return rates
+}
+
 // TestComponentFillMatchesGlobal: the component-decomposed recompute (with
-// dirty-component skipping) must be bit-identical to the direct global fill
-// on randomized cluster-shaped traffic.
+// dirty-component skipping and frontier refills) must give every active flow
+// exactly the rate a whole-network progressive fill derives, on randomized
+// cluster-shaped traffic. Both networks of the differential run the
+// production fill; the oracle is globalFillRates.
 func TestComponentFillMatchesGlobal(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			driveDifferential(t, seed, func(ref, dut *Network) {
-				ref.forceGlobalFill = true
+			checked := 0
+			driveDifferential(t, seed, func(ref, dut *Network) {}, func(op string, dut *Network) {
+				dut.flushRates()
+				want := globalFillRates(dut)
+				for _, f := range dut.active {
+					if math.Float64bits(f.rate) != math.Float64bits(want[f]) {
+						t.Fatalf("%s: flow %s rate %v, global fill %v", op, f.Label, f.rate, want[f])
+					}
+				}
+				checked += len(dut.active)
 			})
+			if checked == 0 {
+				t.Fatal("no active flow was ever checked against the global fill")
+			}
 		})
 	}
 }

@@ -466,7 +466,7 @@ func fillComponent(c *component, fs *fillState) {
 // component discovery entirely.
 func (n *Network) tryFrontier() bool {
 	t := n.trace
-	if t == nil || n.refFill || n.forceGlobalFill || len(t.levels) == 0 {
+	if t == nil || n.refFill || len(t.levels) == 0 {
 		return false
 	}
 	for _, r := range n.dirtyRes {

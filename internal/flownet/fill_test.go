@@ -30,7 +30,7 @@ func TestHeapFillMatchesReference(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			driveDifferential(t, seed, func(ref, dut *Network) {
 				ref.refFill = true
-			})
+			}, nil)
 		})
 	}
 }
@@ -55,7 +55,7 @@ func TestFrontierRefillMatchesReference(t *testing.T) {
 			driveDifferential(t, seed, func(ref, dut *Network) {
 				ref.refFill = true
 				refNet, dutNet = ref, dut
-			})
+			}, nil)
 			reuses += dutNet.FrontierReuses()
 			if refNet.FrontierReuses() != 0 {
 				t.Fatalf("reference network reported %d frontier reuses, want 0", refNet.FrontierReuses())
@@ -294,6 +294,43 @@ func TestSucceedAfterMidWindowRecompute(t *testing.T) {
 	}
 	if dut.FrontierReuses() == 0 {
 		t.Fatal("no frontier reuse after the corner; the scenario exercised nothing")
+	}
+}
+
+// TestFrontierTraceDroppedWhenTracedComponentDrains: when the traced
+// component's last flows leave in a recompute the frontier refill cannot
+// serve (another component turned dirty in the same instant), the trace
+// must be dropped. No fill records those departures, so a trace kept past
+// them still counts the departed flows, and the next frontier refill
+// under-allocates the flows that join the drained resource. Eight
+// single-flow side components keep the network large, as in a fleet.
+func TestFrontierTraceDroppedWhenTracedComponentDrains(t *testing.T) {
+	if forceReferenceFill.Load() {
+		t.Skip("reference fill forced; no frontier to exercise")
+	}
+	old := frontierMinFlows
+	frontierMinFlows = 2
+	defer func() { frontierMinFlows = old }()
+	n := New()
+	a := n.AddResource("a", units.GBps(4))
+	b := n.AddResource("b", units.GBps(4))
+	n.Start("a1", units.MB, nil, a)
+	n.Start("a2", units.MB, nil, a)
+	n.Start("b1", 64*units.MB, nil, b)
+	for i := 0; i < 8; i++ {
+		n.Start(fmt.Sprintf("c%d", i), units.GB, nil, n.AddResource(fmt.Sprintf("c%d", i), units.GBps(1)))
+	}
+	drain := n.NextEvent() // records the trace of a's two-flow component
+	n.StartAt("b2", units.MB, drain, nil, b)
+	if done := n.AdvanceTo(drain); len(done) != 2 {
+		t.Fatalf("%d flows completed at the drain, want a1 and a2", len(done))
+	}
+	k1 := n.Start("k1", units.MB, nil, a)
+	k2 := n.Start("k2", units.MB, nil, a)
+	for _, f := range []*Flow{k1, k2} {
+		if got, want := f.Rate(), units.GBps(4)/2; got != want {
+			t.Errorf("%s rate %v, want %v (half of a)", f.Label, got, want)
+		}
 	}
 }
 

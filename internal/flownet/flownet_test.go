@@ -143,6 +143,37 @@ func TestZeroCapacityNeverCompletes(t *testing.T) {
 	}
 }
 
+// TestCompletionPastHorizonSaturates: a flow whose completion lies past the
+// last representable instant (from the start of time, or once the clock has
+// run most of the way there) reports Forever instead of a wrapped-around
+// time, and advancing the clock neither completes nor panics.
+func TestCompletionPastHorizonSaturates(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		start units.Time
+		size  units.Bytes
+	}{
+		{"duration overflows", 0, 10 * units.GB},
+		{"sum overflows", units.Forever / 2, 5 * units.GB},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := New()
+			link := n.AddResource("trickle", 1) // one byte per second
+			n.AdvanceTo(tc.start)
+			f := n.Start("slow", tc.size, nil, link)
+			if e := n.NextEvent(); e != units.Forever {
+				t.Fatalf("NextEvent = %v, want Forever", e)
+			}
+			if done := n.AdvanceTo(tc.start + 10*units.Second); len(done) != 0 {
+				t.Fatalf("flow completed at %v", done[0].CompletedAt)
+			}
+			if got, want := f.Remaining(), tc.size-10; got != want {
+				t.Errorf("remaining %v bytes, want %v", got, want)
+			}
+		})
+	}
+}
+
 func TestSetCapacityMidFlight(t *testing.T) {
 	// 10GB at 10GB/s for 0.5s (5GB moved), then capacity drops to 2.5GB/s:
 	// remaining 5GB takes 2s more; completion at 2.5s.

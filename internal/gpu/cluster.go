@@ -18,6 +18,7 @@
 package gpu
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -502,6 +503,11 @@ func (s *wakeSet) forEach(fn func(i int)) {
 	}
 }
 
+// errStalled ends a cluster run whose live tenants all wait on migrations
+// too slow to finish within representable simulated time (a link bandwidth
+// near zero), instead of advancing a clock that would wrap around.
+var errStalled = errors.New("gpu: cluster stalled: no in-flight migration can finish within representable simulated time")
+
 // driveEvents is the production scheduler: tenants sleep on a global
 // time-ordered wakeup structure — the kernel-end heap, the network's event
 // heap (whose completions carry owner tags), the host pool's grant queue,
@@ -611,11 +617,13 @@ func driveEvents(net *flownet.Network, tenants []*runner, faults *faultClock, st
 		}
 		next = units.MinTime(next, units.MinTime(net.NextEvent(), faults.next()))
 		if next == units.Forever {
-			// Cannot happen: a waiting tenant always has in-flight
-			// migrations (otherwise step streams or fails it), an
-			// executing tenant bounds next by its kernel end, a pending
-			// tenant by its arrival, and a crashed tenant by its repair.
-			return fmt.Errorf("gpu: cluster stalled with no pending events")
+			// An executing tenant bounds next by its kernel end, a pending
+			// tenant by its arrival, and a crashed tenant by its repair; a
+			// waiting tenant always has in-flight migrations (otherwise
+			// step streams or fails it). So every live tenant is waiting on
+			// migrations that cannot finish within representable simulated
+			// time: flownet saturates such completions at Forever.
+			return errStalled
 		}
 		net.AdvanceEventwise(next, func(done []*flownet.Flow) {
 			for _, f := range done {
@@ -730,7 +738,7 @@ func drivePolling(net *flownet.Network, tenants []*runner, faults *faultClock, s
 		}
 		next = units.MinTime(next, units.MinTime(net.NextEvent(), faults.next()))
 		if next == units.Forever {
-			return fmt.Errorf("gpu: cluster stalled with no pending events")
+			return errStalled
 		}
 		advanceShared(net, tenants, next)
 		// Fault pump point (same position as the event driver: after the
